@@ -7,6 +7,8 @@
    same name in FRESH_DIR (default: current directory) and exits 1 if
 
    - a baseline experiment has no fresh counterpart,
+   - a fresh experiment has no baseline (it would otherwise never be
+     checked),
    - a fresh wall_s exceeds max-ratio (default 1.5) times the baseline
      (sub-10ms baselines are skipped — pure noise), or
    - any decision/identity field present in both records differs:
@@ -129,6 +131,12 @@ let () =
         | baseline, fresh -> compare_experiment ~max_ratio:!max_ratio name baseline fresh
         | exception Json.Parse_error msg -> fail "%s: %s" name msg)
     baselines;
+  List.iter
+    (fun file ->
+      if not (List.mem file baselines) then
+        fail "%s: no baseline in %s" (Filename.chop_suffix file ".json")
+          baseline_dir)
+    (bench_files fresh_dir);
   if !failures > 0 then begin
     Format.printf "@.%d regression(s) against %s@." !failures baseline_dir;
     exit 1

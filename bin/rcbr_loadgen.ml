@@ -8,6 +8,8 @@
    after the storm a reliable finish phase re-sends every teardown and
    asks the switch for a conservation audit, so the run ends with a
    definite verdict: exit 0 iff the switch is empty and conserving.
+   Exit 1 means the switch was dirty after the run, 2 a bad topology,
+   3 that the daemon's socket could not be connected to.
 
    The printed outcome-hash digests every per-request outcome; two runs
    with the same seed against a fresh daemon must print the same hash.
@@ -43,6 +45,34 @@ let write_all fd s =
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> go off
   in
   go 0
+
+type connect_error = { path : string; attempts : int; error : Unix.error }
+
+let pp_connect_error ppf e =
+  Format.fprintf ppf "cannot connect to %s after %d attempt(s): %s" e.path
+    e.attempts (Unix.error_message e.error)
+
+(* A socket that does not exist yet (ENOENT) or is bound but not yet
+   listening (ECONNREFUSED) is a daemon still starting up: retry those
+   every 0.1 s for up to 5 s.  Any other error is final. *)
+let connect path =
+  let attempts = 50 in
+  let rec go i =
+    let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+    match Unix.connect fd (Unix.ADDR_UNIX path) with
+    | () -> Ok fd
+    | exception Unix.Unix_error (error, _, _) ->
+        Unix.close fd;
+        let transient =
+          match error with Unix.ECONNREFUSED | Unix.ENOENT -> true | _ -> false
+        in
+        if transient && i < attempts then begin
+          Unix.sleepf 0.1;
+          go (i + 1)
+        end
+        else Error { path; attempts = i; error }
+  in
+  go 1
 
 let send_raw c frames = List.iter (write_all c.fd) frames
 
@@ -135,8 +165,13 @@ let run socket_path topo_spec capacity calls rounds rate_max rm_fraction seed
   in
   let conns =
     Array.init conns_n (fun c ->
-        let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-        Unix.connect fd (Unix.ADDR_UNIX socket_path);
+        let fd =
+          match connect socket_path with
+          | Ok fd -> fd
+          | Error e ->
+              Format.eprintf "rcbr_loadgen: %a@." pp_connect_error e;
+              exit 3
+        in
         {
           fd;
           reader = Frame.Reader.create ();

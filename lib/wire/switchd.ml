@@ -34,6 +34,7 @@ type t = {
   sessions : (int, Session.t) Hashtbl.t;
   stats : stats;
   mutable draining : bool;
+  mutable clock : float;  (* largest [now] seen so far *)
 }
 
 let create config =
@@ -57,10 +58,22 @@ let create config =
         underflows = 0;
       };
     draining = false;
+    clock = 0.;
   }
 
+(* Link integrals are brought up to date lazily (DESIGN.md §11): a
+   request advances only the links on its route, right before it moves
+   their demand, and a reader of the integrals first advances every
+   link to [clock].  Between two changes a link's demand is constant,
+   so the deferred integration is exact up to float summation order. *)
+let sync t = Array.iter (fun l -> Link.advance l ~now:t.clock) t.links
+
 let stats t = t.stats
-let links t = t.links
+
+let links t =
+  sync t;
+  t.links
+
 let sessions t = Hashtbl.length t.sessions
 let draining t = t.draining
 
@@ -88,8 +101,10 @@ let connect t =
 
 (* --- dispatch --------------------------------------------------------- *)
 
-let advance_links t ~now =
-  Array.iter (fun l -> Link.advance l ~now) t.links
+(* Advancing to [clock] rather than [now] keeps every link's integral
+   running forward even if a caller's clock steps back. *)
+let advance_route t route =
+  Array.iter (fun id -> Link.advance t.links.(id) ~now:t.clock) route
 
 let route_valid t route =
   Array.for_all
@@ -117,7 +132,7 @@ let do_setup t ~now ~req ~call ~route ~transit ~rate =
       if not (admitted && Session.fits ~links:t.links s ~rate ~now) then
         deny t ~req Codec.Capacity
       else begin
-        advance_links t ~now;
+        advance_route t route;
         Session.settle ~links:t.links s ~rate;
         Array.iter
           (fun id ->
@@ -141,7 +156,7 @@ let do_renegotiate t ~now ~req ~call ~rate =
               && not (Session.fits ~links:t.links s ~rate ~now)
       then deny t ~req Codec.Capacity
       else begin
-        advance_links t ~now;
+        advance_route t s.Session.route;
         Session.settle ~links:t.links s ~rate;
         (match t.config.controller with
         | Some c -> Controller.on_renegotiate c ~now ~call ~rate
@@ -154,7 +169,7 @@ let do_teardown t ~now ~req ~call =
   match Hashtbl.find_opt t.sessions call with
   | None -> deny t ~req Codec.Unknown_call
   | Some s ->
-      advance_links t ~now;
+      advance_route t s.Session.route;
       Session.cancel_pending s;
       Session.settle ~links:t.links s ~rate:0.;
       Array.iter
@@ -169,7 +184,7 @@ let do_teardown t ~now ~req ~call =
 (* RM cells apply with settle semantics — the demand moves whether or
    not it fits, exactly as in the simulators' fault path; overload shows
    up in the link accounting, never as a lost update. *)
-let do_delta t ~now ~vci ~delta =
+let do_delta t ~vci ~delta =
   t.stats.deltas <- t.stats.deltas + 1;
   (match Hashtbl.find_opt t.sessions vci with
   | None -> t.stats.stray_cells <- t.stats.stray_cells + 1
@@ -182,16 +197,16 @@ let do_delta t ~now ~vci ~delta =
         end
         else next
       in
-      advance_links t ~now;
+      advance_route t s.Session.route;
       Session.settle ~links:t.links s ~rate:next);
   None
 
-let do_resync t ~now ~vci ~rate =
+let do_resync t ~vci ~rate =
   t.stats.resyncs <- t.stats.resyncs + 1;
   (match Hashtbl.find_opt t.sessions vci with
   | None -> t.stats.stray_cells <- t.stats.stray_cells + 1
   | Some s ->
-      advance_links t ~now;
+      advance_route t s.Session.route;
       Session.settle ~links:t.links s ~rate);
   None
 
@@ -208,8 +223,8 @@ let do_audit t ~req =
 
 let dispatch t ~now (msg : Codec.t) =
   match msg with
-  | Codec.Delta { vci; delta } -> do_delta t ~now ~vci ~delta
-  | Codec.Resync { vci; rate } -> do_resync t ~now ~vci ~rate
+  | Codec.Delta { vci; delta } -> do_delta t ~vci ~delta
+  | Codec.Resync { vci; rate } -> do_resync t ~vci ~rate
   | Codec.Setup { req; call; route; transit; rate } ->
       do_setup t ~now ~req ~call ~route ~transit ~rate
   | Codec.Renegotiate { req; call; rate } -> do_renegotiate t ~now ~req ~call ~rate
@@ -222,11 +237,16 @@ let dispatch t ~now (msg : Codec.t) =
       None
 
 let handle t conn ~now msg =
-  match Codec.req msg with
-  | Some req when Hashtbl.mem conn.seen req ->
+  if now > t.clock then t.clock <- now;
+  let req = Codec.req msg in
+  let cached =
+    match req with Some r -> Hashtbl.find_opt conn.seen r | None -> None
+  in
+  match cached with
+  | Some _ ->
       t.stats.duplicates <- t.stats.duplicates + 1;
-      Hashtbl.find_opt conn.seen req
-  | req ->
+      cached
+  | None ->
       let reply = dispatch t ~now msg in
       (match (req, reply) with
       | Some req, Some reply -> Hashtbl.replace conn.seen req reply
@@ -257,6 +277,7 @@ type drain_report = { live_sessions : int; violations : int; demand : float }
 
 let drain t =
   t.draining <- true;
+  sync t;
   {
     live_sessions = Hashtbl.length t.sessions;
     violations = audit t;

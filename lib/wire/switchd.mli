@@ -47,6 +47,11 @@ type t
 val create : config -> t
 val stats : t -> stats
 val links : t -> Rcbr_net.Link.t array
+(** The switch's links.  A request integrates only the links on its
+    route, so this first advances every link to the latest request time
+    seen by {!handle}; the integrals ([offered_bits], [granted_bits],
+    [lost_bits], [call_seconds]) are then current as of that time. *)
+
 val sessions : t -> int
 (** Live call count. *)
 
@@ -80,5 +85,6 @@ val total_demand : t -> float
 type drain_report = { live_sessions : int; violations : int; demand : float }
 
 val drain : t -> drain_report
-(** Enter draining mode (new setups are denied with [Draining]) and run
-    the final conservation audit. *)
+(** Enter draining mode (new setups are denied with [Draining]), advance
+    every link to the latest request time as {!links} does, and run the
+    final conservation audit. *)

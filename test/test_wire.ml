@@ -1,7 +1,8 @@
 (* Tests for Rcbr_wire: the codec inversion pair (round-trip + totality
    under byte fuzz), stream framing under arbitrary chunking, mangler
    determinism, switchd dispatch semantics (idempotent request ids,
-   denial taxonomy, drain), and the loadgen's seed-pure pieces. *)
+   denial taxonomy, drain, lazy link accounting against an every-link
+   reference), and the loadgen's seed-pure pieces. *)
 
 module Codec = Rcbr_wire.Codec
 module Frame = Rcbr_wire.Frame
@@ -566,6 +567,239 @@ let test_storm_through_bytes () =
   Alcotest.(check int) "no invariant-relevant surprises" 0
     (Switchd.stats t).Switchd.unexpected
 
+(* --- lazy link accounting ---------------------------------------------- *)
+
+(* Reference switch for the oracle below: Switchd's dispatch rules for
+   setups, renegotiations, teardowns and RM cells (no controller, no
+   blackouts), written out again with the eager accounting Switchd used
+   to do — every link of the switch advanced on every applied change. *)
+type ref_switch = {
+  r_links : Link.t array;
+  r_calls : (int, int array * float ref) Hashtbl.t;
+      (* call -> route, applied rate *)
+  r_seen : (int, Codec.t) Hashtbl.t;
+}
+
+let ref_create topo =
+  {
+    r_links = Link.of_topology topo;
+    r_calls = Hashtbl.create 16;
+    r_seen = Hashtbl.create 16;
+  }
+
+let ref_apply r ~now (route, applied) rate =
+  Array.iter (fun l -> Link.advance l ~now) r.r_links;
+  let delta = rate -. !applied in
+  Array.iter
+    (fun id ->
+      let l = r.r_links.(id) in
+      l.Link.demand <- l.Link.demand +. delta)
+    route;
+  applied := rate
+
+let ref_fits r (route, applied) rate =
+  let delta = rate -. !applied in
+  Array.for_all
+    (fun id ->
+      let l = r.r_links.(id) in
+      l.Link.demand +. delta <= l.Link.capacity +. 1e-9)
+    route
+
+let ref_count r route d =
+  Array.iter
+    (fun id -> r.r_links.(id).Link.n_calls <- r.r_links.(id).Link.n_calls + d)
+    route
+
+let ref_dispatch r ~now msg =
+  let deny req reason = Some (Codec.Deny { req; reason }) in
+  match msg with
+  | Codec.Setup { req; call; route; rate; _ } ->
+      if Hashtbl.mem r.r_calls call then deny req Codec.Duplicate_call
+      else if
+        not
+          (Array.for_all
+             (fun id -> id >= 0 && id < Array.length r.r_links)
+             route)
+      then deny req Codec.Bad_route
+      else
+        let c = (route, ref 0.) in
+        if not (ref_fits r c rate) then deny req Codec.Capacity
+        else begin
+          ref_apply r ~now c rate;
+          ref_count r route 1;
+          Hashtbl.replace r.r_calls call c;
+          Some (Codec.Ack { req; applied = rate })
+        end
+  | Codec.Renegotiate { req; call; rate } -> (
+      match Hashtbl.find_opt r.r_calls call with
+      | None -> deny req Codec.Unknown_call
+      | Some ((_, applied) as c) ->
+          if rate > !applied && not (ref_fits r c rate) then
+            deny req Codec.Capacity
+          else begin
+            ref_apply r ~now c rate;
+            Some (Codec.Ack { req; applied = rate })
+          end)
+  | Codec.Teardown { req; call } -> (
+      match Hashtbl.find_opt r.r_calls call with
+      | None -> deny req Codec.Unknown_call
+      | Some ((route, _) as c) ->
+          ref_apply r ~now c 0.;
+          ref_count r route (-1);
+          Hashtbl.remove r.r_calls call;
+          Some (Codec.Ack { req; applied = 0. }))
+  | Codec.Delta { vci; delta } ->
+      (match Hashtbl.find_opt r.r_calls vci with
+      | None -> ()
+      | Some ((_, applied) as c) ->
+          let next = !applied +. delta in
+          ref_apply r ~now c (if next < 0. then 0. else next));
+      None
+  | Codec.Resync { vci; rate } ->
+      Option.iter
+        (fun c -> ref_apply r ~now c rate)
+        (Hashtbl.find_opt r.r_calls vci);
+      None
+  | _ -> Alcotest.failf "oracle script holds %a" Codec.pp msg
+
+let ref_handle r ~now msg =
+  match Option.bind (Codec.req msg) (Hashtbl.find_opt r.r_seen) with
+  | Some _ as cached -> cached
+  | None ->
+      let reply = ref_dispatch r ~now msg in
+      (match (Codec.req msg, reply) with
+      | Some req, Some reply -> Hashtbl.replace r.r_seen req reply
+      | _ -> ());
+      reply
+
+(* 3x3 grid: 12 links, routes of 2 and 4 hops that share links. *)
+let oracle_topo = Topology.grid ~rows:3 ~cols:3 ~capacity:1e6
+
+(* Scripts of (time step, message) over a small call-id pool, so most
+   messages hit a live call; request ids are drawn from a range small
+   enough that some collide and exercise the idempotency cache, and one
+   setup in ten carries an out-of-range link id. *)
+let gen_script : (float * Codec.t) list QCheck.Gen.t =
+  let open QCheck.Gen in
+  let call = int_range 0 7 in
+  let req = int_range 0 999 in
+  let rate = float_range 0. 6e5 in
+  let route =
+    frequency
+      [
+        (9, oneofa oracle_topo.Topology.routes);
+        (1, return [| 0; Topology.n_links oracle_topo |]);
+      ]
+  in
+  let setup req call route rate =
+    Codec.Setup { req; call; route; transit = false; rate }
+  in
+  let msg =
+    frequency
+      [
+        (3, setup <$> req <*> call <*> route <*> rate);
+        ( 3,
+          map3
+            (fun req call rate -> Codec.Renegotiate { req; call; rate })
+            req call rate );
+        ( 3,
+          map2
+            (fun vci delta -> Codec.Delta { vci; delta })
+            call (float_range (-3e5) 3e5) );
+        (1, map2 (fun vci rate -> Codec.Resync { vci; rate }) call rate);
+        (2, map2 (fun req call -> Codec.Teardown { req; call }) req call);
+      ]
+  in
+  let dt = frequency [ (1, return 0.); (3, float_range 0. 5.) ] in
+  list_size (int_range 1 80) (pair dt msg)
+
+let show_msg = Format.asprintf "%a" Codec.pp
+
+let arb_script =
+  QCheck.make
+    ~print:
+      QCheck.Print.(list (fun (dt, m) -> Printf.sprintf "+%g %s" dt (show_msg m)))
+    gen_script
+
+(* Relative agreement, with one bit as the scale floor for integrals
+   near zero. *)
+let close_rel a b =
+  Float.abs (a -. b)
+  <= 1e-9 *. Float.max 1. (Float.max (Float.abs a) (Float.abs b))
+
+let prop_lazy_links_oracle =
+  QCheck.Test.make ~name:"lazy link accounting = every-link advance" ~count:300
+    arb_script (fun script ->
+      let t = Switchd.create (Switchd.default_config oracle_topo) in
+      let conn = Switchd.connect t in
+      let r = ref_create oracle_topo in
+      let now =
+        List.fold_left
+          (fun now (dt, msg) ->
+            let now = now +. dt in
+            let got = Switchd.handle t conn ~now msg in
+            let want = ref_handle r ~now msg in
+            if not (Option.equal Codec.equal got want) then
+              QCheck.Test.fail_reportf "at %g, %a: switchd %s, reference %s" now
+                Codec.pp msg
+                (Option.fold ~none:"-" ~some:show_msg got)
+                (Option.fold ~none:"-" ~some:show_msg want);
+            now)
+          0. script
+      in
+      let links = Switchd.links t in
+      Array.iter (fun l -> Link.advance l ~now) r.r_links;
+      Array.iteri
+        (fun i (l : Link.t) ->
+          let e = r.r_links.(i) in
+          let bits a b =
+            Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+          in
+          if not (bits l.demand e.demand && l.n_calls = e.n_calls) then
+            QCheck.Test.fail_reportf "link %d: demand %h/%h, calls %d/%d" i
+              l.demand e.demand l.n_calls e.n_calls;
+          List.iter
+            (fun (name, a, b) ->
+              if not (close_rel a b) then
+                QCheck.Test.fail_reportf
+                  "link %d: %s %.17g vs reference %.17g" i name a b)
+            [
+              ("offered_bits", l.offered_bits, e.offered_bits);
+              ("granted_bits", l.granted_bits, e.granted_bits);
+              ("lost_bits", l.lost_bits, e.lost_bits);
+              ("call_seconds", l.call_seconds, e.call_seconds);
+            ])
+        links;
+      true)
+
+(* A link no request has touched since t = 0 still integrates up to the
+   latest request time when read, through [links] and through [drain]. *)
+let test_switchd_untouched_link_integrates () =
+  let topo = Topology.parallel_routes ~routes:2 ~hops:2 ~capacity:1e6 in
+  let t = Switchd.create (Switchd.default_config topo) in
+  let conn = Switchd.connect t in
+  let setup req call route =
+    ignore
+      (expect_reply t conn ~now:0.
+         (Codec.Setup { req; call; route; transit = false; rate = 1e5 }))
+  in
+  setup 1 1 topo.Topology.routes.(0);
+  setup 2 2 topo.Topology.routes.(1);
+  ignore
+    (expect_reply t conn ~now:10.
+       (Codec.Renegotiate { req = 3; call = 2; rate = 2e5 }));
+  let links = Switchd.links t in
+  check_exact "offered through links" 1e6 links.(0).Link.offered_bits;
+  check_exact "call-seconds through links" 10. links.(0).Link.call_seconds;
+  ignore
+    (Switchd.handle t conn ~now:25. (Codec.Resync { vci = 2; rate = 3e5 }));
+  ignore (Switchd.drain t);
+  check_exact "offered through drain" 2.5e6 links.(0).Link.offered_bits;
+  check_exact "granted through drain" 2.5e6 links.(1).Link.granted_bits;
+  check_exact "call-seconds through drain" 25. links.(1).Link.call_seconds;
+  check_exact "busy route integrated" (1e5 *. 10. +. 2e5 *. 15.)
+    links.(2).Link.offered_bits
+
 let () =
   let q = List.map (fun t -> QCheck_alcotest.to_alcotest t) in
   Alcotest.run "rcbr_wire"
@@ -594,6 +828,9 @@ let () =
             test_switchd_rm_cells_and_audit;
           Alcotest.test_case "drain" `Quick test_switchd_drain;
           Alcotest.test_case "input framing" `Quick test_switchd_input_framing;
+          Alcotest.test_case "untouched link integrates on read" `Quick
+            test_switchd_untouched_link_integrates;
+          QCheck_alcotest.to_alcotest prop_lazy_links_oracle;
         ] );
       ( "loadgen",
         [

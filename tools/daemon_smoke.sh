@@ -26,11 +26,13 @@ start_daemon() { # $1: run tag
   "$BIN/rcbr_switchd.exe" --socket "$SOCK" --topology "$TOPO" \
     --capacity "$CAPACITY" >"$TMP/switchd-$1.log" 2>&1 &
   DPID=$!
+  # The socket file appears at bind, before listen; the daemon prints
+  # this line only once it is listening.
   for _ in $(seq 100); do
-    [ -S "$SOCK" ] && return 0
+    grep -q "rcbr_switchd: listening on" "$TMP/switchd-$1.log" && return 0
     sleep 0.1
   done
-  echo "FAIL: daemon for run $1 never bound its socket" >&2
+  echo "FAIL: daemon for run $1 never started listening" >&2
   cat "$TMP/switchd-$1.log" >&2
   return 1
 }
@@ -51,10 +53,18 @@ stop_daemon() { # $1: run tag — graceful drain must succeed
 }
 
 loadgen() { # $1: run tag, rest: extra flags — exit 0 = clean audit
-  if ! "$BIN/rcbr_loadgen.exe" --socket "$SOCK" --topology "$TOPO" \
+  local rc=0
+  "$BIN/rcbr_loadgen.exe" --socket "$SOCK" --topology "$TOPO" \
     --capacity "$CAPACITY" --calls 10 --rounds 4 --conns 3 --seed 99 \
-    "${@:2}" >"$TMP/loadgen-$1.log" 2>&1; then
-    echo "FAIL: loadgen run $1 reported a dirty switch" >&2
+    "${@:2}" >"$TMP/loadgen-$1.log" 2>&1 || rc=$?
+  if [ "$rc" -ne 0 ]; then
+    case "$rc" in
+      1) why="reported a dirty switch" ;;
+      2) why="rejected the topology" ;;
+      3) why="could not connect" ;;
+      *) why="failed (exit $rc)" ;;
+    esac
+    echo "FAIL: loadgen run $1 $why" >&2
     cat "$TMP/loadgen-$1.log" >&2
     return 1
   fi
